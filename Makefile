@@ -32,6 +32,10 @@ test:
 # rotated-capture source stage, buffered vs mmap+lazy — the acceptance
 # bar is mmap ≥ 2× buffered — plus BenchmarkShardSinkLazy*: lazy view
 # chunks flowing through the flow-sharded sink) lands in BENCH_PR10.json.
+# The test-mode scoring set (BenchmarkForestScore{Split,Fused}: the
+# replay workload's 50-tree forest scored by Predict then Proba versus
+# one PredictProba pass; BenchmarkKitNETScore) lands in BENCH_PR12.json
+# with -count=5, so each entry carries min/median/max and GOMAXPROCS.
 BENCH_LABEL ?= current
 bench:
 	$(GO) test -bench=. -benchtime=300ms -count=3 -run='^$$' ./internal/mlkit/... \
@@ -47,6 +51,8 @@ bench:
 	( $(GO) test -bench=BenchmarkDirSource -benchtime=5x -count=3 -run='^$$' ./internal/daemon/ && \
 	  $(GO) test -bench=BenchmarkShardSinkLazy -benchtime=5x -count=3 -run='^$$' ./internal/core/ ) \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR10.json
+	$(GO) test -bench='BenchmarkForestScore|BenchmarkKitNETScore' -benchmem -benchtime=300ms -count=5 -run='^$$' ./internal/mlkit/ \
+		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -out BENCH_PR12.json
 
 # bench-paper runs the paper table/figure reproduction benchmarks once each.
 bench-paper:

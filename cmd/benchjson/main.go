@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -24,19 +25,30 @@ import (
 // Bench is one parsed benchmark result line. Metrics holds any extra
 // `<value> <unit>` pairs the benchmark reported after ns/op (B/op,
 // allocs/op, custom b.ReportMetric units like peak-B), keyed by unit.
+// With -count=N the result also records N and the min/median/max ns/op
+// over the N runs; NsPerOp stays the best (min) run.
 type Bench struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	Count      int                `json:"count"`
+	MinNs      float64            `json:"min_ns"`
+	MedianNs   float64            `json:"median_ns"`
+	MaxNs      float64            `json:"max_ns"`
+
+	samples []float64
 }
 
 // Run is one labelled `go test -bench` invocation.
 type Run struct {
-	Goos       string  `json:"goos,omitempty"`
-	Goarch     string  `json:"goarch,omitempty"`
-	CPU        string  `json:"cpu,omitempty"`
-	Pkg        string  `json:"pkg,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	// GOMAXPROCS is read from the benchmark names' -N suffix, which go
+	// test omits when it is 1.
+	GOMAXPROCS int     `json:"gomaxprocs,omitempty"`
 	Benchmarks []Bench `json:"benchmarks"`
 }
 
@@ -95,28 +107,31 @@ func parse(r *bufio.Scanner) (*Run, error) {
 			// Strip the -N GOMAXPROCS suffix so labels are stable
 			// across machines (BenchmarkMLPFit-8 -> BenchmarkMLPFit).
 			name := fields[0]
+			procs := 1
 			if i := strings.LastIndex(name, "-"); i > 0 {
-				if _, err := strconv.Atoi(name[i+1:]); err == nil {
-					name = name[:i]
+				if n, err := strconv.Atoi(name[i+1:]); err == nil {
+					name, procs = name[:i], n
 				}
 			}
+			run.GOMAXPROCS = procs
 			// With -count=N the same benchmark appears N times; keep the
 			// fastest run (best-of-N is the standard noise filter on
 			// shared machines).
 			merged := false
 			for i := range run.Benchmarks {
-				if run.Benchmarks[i].Name == name {
-					if ns < run.Benchmarks[i].NsPerOp {
-						run.Benchmarks[i].NsPerOp = ns
-						run.Benchmarks[i].Iterations = iters
-						run.Benchmarks[i].Metrics = metrics
+				if b := &run.Benchmarks[i]; b.Name == name {
+					if ns < b.NsPerOp {
+						b.NsPerOp = ns
+						b.Iterations = iters
+						b.Metrics = metrics
 					}
+					b.samples = append(b.samples, ns)
 					merged = true
 					break
 				}
 			}
 			if !merged {
-				run.Benchmarks = append(run.Benchmarks, Bench{Name: name, Iterations: iters, NsPerOp: ns, Metrics: metrics})
+				run.Benchmarks = append(run.Benchmarks, Bench{Name: name, Iterations: iters, NsPerOp: ns, Metrics: metrics, samples: []float64{ns}})
 			}
 		}
 	}
@@ -125,6 +140,16 @@ func parse(r *bufio.Scanner) (*Run, error) {
 	}
 	if len(run.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark result lines on stdin")
+	}
+	for i := range run.Benchmarks {
+		b := &run.Benchmarks[i]
+		sort.Float64s(b.samples)
+		n := len(b.samples)
+		b.Count, b.MinNs, b.MaxNs = n, b.samples[0], b.samples[n-1]
+		b.MedianNs = b.samples[n/2]
+		if n%2 == 0 {
+			b.MedianNs = (b.samples[n/2-1] + b.samples[n/2]) / 2
+		}
 	}
 	return run, nil
 }

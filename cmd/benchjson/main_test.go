@@ -61,3 +61,27 @@ func TestParseRejectsEmptyInput(t *testing.T) {
 		t.Error("no benchmark lines should be an error")
 	}
 }
+
+func TestParseSpreadAndProcs(t *testing.T) {
+	run, err := parse(bufio.NewScanner(strings.NewReader(sampleOutput)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.GOMAXPROCS != 8 {
+		t.Errorf("gomaxprocs = %d, want 8 from the -8 suffix", run.GOMAXPROCS)
+	}
+	c := run.Benchmarks[1]
+	if c.Count != 2 || c.MinNs != 6000000 || c.MaxNs != 7000000 || c.MedianNs != 6500000 {
+		t.Errorf("count/min/median/max = %d/%v/%v/%v, want 2/6e6/6.5e6/7e6", c.Count, c.MinNs, c.MedianNs, c.MaxNs)
+	}
+	one, err := parse(bufio.NewScanner(strings.NewReader("BenchmarkX   10   100 ns/op\nBenchmarkX   10   300 ns/op\nBenchmarkX   10   200 ns/op\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.GOMAXPROCS != 1 {
+		t.Errorf("no suffix means GOMAXPROCS 1, got %d", one.GOMAXPROCS)
+	}
+	if b := one.Benchmarks[0]; b.Count != 3 || b.MedianNs != 200 || b.NsPerOp != 100 {
+		t.Errorf("count/median/best = %d/%v/%v, want 3/200/100", b.Count, b.MedianNs, b.NsPerOp)
+	}
+}

@@ -82,16 +82,11 @@ func (a *AutoML) Fit(X [][]float64, y []int) error {
 func (a *AutoML) Predict(X [][]float64) []int { return a.best.Predict(X) }
 
 // Proba delegates when the winner supports it, else returns hard labels.
-func (a *AutoML) Proba(X [][]float64) []float64 {
-	if p, ok := a.best.(ProbClassifier); ok {
-		return p.Proba(X)
-	}
-	pred := a.best.Predict(X)
-	out := make([]float64, len(pred))
-	for i, v := range pred {
-		out[i] = float64(v)
-	}
-	return out
+func (a *AutoML) Proba(X [][]float64) []float64 { return probaOrLabels(a.best, X) }
+
+// PredictProba delegates to the winning model's single scoring pass.
+func (a *AutoML) PredictProba(X [][]float64) ([]int, []float64) {
+	return predictProbaOrLabels(a.best, X)
 }
 
 // BestName reports the label of the winning candidate after Fit.

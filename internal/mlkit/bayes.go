@@ -119,22 +119,28 @@ func (g *GaussianNB) logJoint(row []float64) []float64 {
 
 // Predict returns the maximum-posterior class per row.
 func (g *GaussianNB) Predict(X [][]float64) []int {
-	out := make([]int, len(X))
-	for i, row := range X {
-		out[i] = ArgMax(g.logJoint(row))
-	}
-	return out
+	pred, _ := g.PredictProba(X)
+	return pred
 }
 
 // Proba returns the posterior probability of class 1 per row.
 func (g *GaussianNB) Proba(X [][]float64) []float64 {
-	out := make([]float64, len(X))
+	_, proba := g.PredictProba(X)
+	return proba
+}
+
+// PredictProba computes each row's joint log-likelihoods once and
+// reports the maximum-posterior class and the class-1 posterior.
+func (g *GaussianNB) PredictProba(X [][]float64) ([]int, []float64) {
+	pred := make([]int, len(X))
+	proba := make([]float64, len(X))
 	for i, row := range X {
 		lj := g.logJoint(row)
+		pred[i] = ArgMax(lj)
 		z := logSumExp(lj)
 		if len(lj) > 1 && !math.IsInf(z, -1) {
-			out[i] = math.Exp(lj[1] - z)
+			proba[i] = math.Exp(lj[1] - z)
 		}
 	}
-	return out
+	return pred, proba
 }

@@ -24,14 +24,15 @@ func (v *VotingEnsemble) Fit(X [][]float64, y []int) error {
 
 // Predict returns the majority (or soft-vote) decision per row.
 func (v *VotingEnsemble) Predict(X [][]float64) []int {
+	pred, _ := v.PredictProba(X)
+	return pred
+}
+
+// PredictProba scores every member once and derives the decision from
+// the mean score: a row is class 1 when that mean exceeds 0.5.
+func (v *VotingEnsemble) PredictProba(X [][]float64) ([]int, []float64) {
 	p := v.Proba(X)
-	out := make([]int, len(p))
-	for i, s := range p {
-		if s > 0.5 {
-			out[i] = 1
-		}
-	}
-	return out
+	return thresholdScores(p, 0.5), p
 }
 
 // Proba returns the mean member score: soft-vote probability when all

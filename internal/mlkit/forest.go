@@ -81,6 +81,7 @@ func (f *RandomForest) Fit(X [][]float64, y []int) error {
 					MinSamplesLeaf: f.MinSamplesLeaf,
 					MaxFeatures:    maxFeat,
 					Seed:           f.Seed + int64(ti)*104729,
+					minClasses:     f.classes,
 				}
 				if err := tree.Fit(bx, by); err != nil {
 					errCh <- err
@@ -105,49 +106,44 @@ func (f *RandomForest) Fit(X [][]float64, y []int) error {
 
 // Predict returns the class with the highest mean leaf probability.
 func (f *RandomForest) Predict(X [][]float64) []int {
-	probs := f.classProba(X)
-	out := make([]int, len(X))
-	for i, p := range probs {
-		out[i] = ArgMax(p)
-	}
-	return out
+	pred, _ := f.PredictProba(X)
+	return pred
 }
 
 // Proba returns the positive-class mean probability per row.
 func (f *RandomForest) Proba(X [][]float64) []float64 {
-	probs := f.classProba(X)
-	out := make([]float64, len(X))
-	for i, p := range probs {
-		if len(p) > 1 {
-			out[i] = p[1]
-		}
-	}
-	return out
+	_, proba := f.PredictProba(X)
+	return proba
 }
 
-func (f *RandomForest) classProba(X [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
-	for i := range out {
-		out[i] = make([]float64, f.classes)
-	}
-	if len(f.trees) == 0 {
-		return out
-	}
-	for _, tree := range f.trees {
-		tp := tree.ClassProba(X)
-		for i, p := range tp {
-			for j := range p {
-				if j < f.classes {
-					out[i][j] += p[j]
-				}
+// PredictProba averages the trees' leaf distributions per row and
+// reports the argmax class and the positive-class mean. The walk is row
+// major: one class accumulator per call, summed over the trees in order
+// and then scaled by 1/NTrees, so the cost in allocations does not grow
+// with the ensemble. Every tree's leaves are as wide as the accumulator:
+// Fit sets minClasses and UnmarshalModel checks it. The accumulator is
+// local because scoring replicas share the forest across goroutines.
+func (f *RandomForest) PredictProba(X [][]float64) ([]int, []float64) {
+	pred := make([]int, len(X))
+	proba := make([]float64, len(X))
+	acc := make([]float64, f.classes)
+	inv := 1 / float64(len(f.trees))
+	for i, row := range X {
+		clear(acc)
+		for _, tree := range f.trees {
+			for j, v := range tree.leafProba(row) {
+				acc[j] += v
 			}
 		}
-	}
-	inv := 1 / float64(len(f.trees))
-	for i := range out {
-		for j := range out[i] {
-			out[i][j] *= inv
+		if len(f.trees) > 0 {
+			for j := range acc {
+				acc[j] *= inv
+			}
+		}
+		pred[i] = ArgMax(acc)
+		if len(acc) > 1 {
+			proba[i] = acc[1]
 		}
 	}
-	return out
+	return pred, proba
 }

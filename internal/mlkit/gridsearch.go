@@ -99,17 +99,12 @@ func expandGrid(grid map[string][]float64) []map[string]float64 {
 // Predict delegates to the winning model.
 func (g *GridSearch) Predict(X [][]float64) []int { return g.best.Predict(X) }
 
-// Proba delegates when supported.
-func (g *GridSearch) Proba(X [][]float64) []float64 {
-	if p, ok := g.best.(ProbClassifier); ok {
-		return p.Proba(X)
-	}
-	pred := g.best.Predict(X)
-	out := make([]float64, len(pred))
-	for i, v := range pred {
-		out[i] = float64(v)
-	}
-	return out
+// Proba delegates when the winner supports it, else returns hard labels.
+func (g *GridSearch) Proba(X [][]float64) []float64 { return probaOrLabels(g.best, X) }
+
+// PredictProba delegates to the winning model's single scoring pass.
+func (g *GridSearch) PredictProba(X [][]float64) ([]int, []float64) {
+	return predictProbaOrLabels(g.best, X)
 }
 
 // BestParams returns the winning assignment after Fit.

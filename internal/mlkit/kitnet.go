@@ -3,6 +3,8 @@ package mlkit
 import (
 	"math"
 	"sort"
+
+	"lumen/internal/mlkit/linalg"
 )
 
 // KitNET is the anomaly detector at the heart of Kitsune (Mirsky et al.,
@@ -121,27 +123,28 @@ func (k *KitNET) maxAE() int {
 // Score returns the output autoencoder's RMSE per row (higher = more
 // anomalous). Each ensemble member scores its feature subset over the
 // whole frame in batched GEMM passes; the output AE then scores the
-// assembled tail matrix the same way.
+// assembled tail matrix the same way. The subsets are gathered into one
+// flat matrix reused across clusters, and the tails fill another, so a
+// call allocates per cluster nothing but the member's own scores.
 func (k *KitNET) Score(X [][]float64) []float64 {
 	Xs := k.norm.Transform(X)
-	tails := make([][]float64, len(Xs))
-	for i := range tails {
-		tails[i] = make([]float64, len(k.clusters))
-	}
+	tails := linalg.NewDense(len(Xs), len(k.clusters))
+	gather := &linalg.Dense{}
 	sub := make([][]float64, len(Xs))
 	for c, feats := range k.clusters {
+		gather.Reshape(len(Xs), len(feats))
 		for i, row := range Xs {
-			dst := make([]float64, len(feats))
+			dst := gather.Row(i)
 			for j, f := range feats {
 				dst[j] = row[f]
 			}
 			sub[i] = dst
 		}
 		for i, s := range k.ensemble[c].Score(sub) {
-			tails[i][c] = clamp01(s)
+			tails.Set(i, c, clamp01(s))
 		}
 	}
-	return k.output.Score(tails)
+	return k.output.Score(tails.RowViews())
 }
 
 func clamp01(x float64) float64 {

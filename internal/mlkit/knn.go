@@ -332,22 +332,27 @@ func (k *KNN) votes(X [][]float64) *linalg.Dense {
 
 // Predict returns the majority class among neighbours per row.
 func (k *KNN) Predict(X [][]float64) []int {
-	v := k.votes(X)
-	out := make([]int, len(X))
-	for i := range out {
-		out[i] = ArgMax(v.Row(i))
-	}
-	return out
+	pred, _ := k.PredictProba(X)
+	return pred
 }
 
 // Proba returns the neighbour fraction of class 1 per row.
 func (k *KNN) Proba(X [][]float64) []float64 {
+	_, proba := k.PredictProba(X)
+	return proba
+}
+
+// PredictProba runs one neighbour search per row and reports the
+// majority class and the class-1 neighbour fraction.
+func (k *KNN) PredictProba(X [][]float64) ([]int, []float64) {
 	v := k.votes(X)
-	out := make([]float64, len(X))
-	if v.Cols > 1 {
-		for i := range out {
-			out[i] = v.At(i, 1)
+	pred := make([]int, len(X))
+	proba := make([]float64, len(X))
+	for i := range pred {
+		pred[i] = ArgMax(v.Row(i))
+		if v.Cols > 1 {
+			proba[i] = v.At(i, 1)
 		}
 	}
-	return out
+	return pred, proba
 }

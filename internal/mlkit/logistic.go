@@ -95,14 +95,14 @@ func sigmoid(z float64) float64 { return 1 / (1 + math.Exp(-z)) }
 
 // Predict thresholds the probability at 0.5.
 func (l *LogisticRegression) Predict(X [][]float64) []int {
+	pred, _ := l.PredictProba(X)
+	return pred
+}
+
+// PredictProba computes P(y=1|x) once per row and thresholds it at 0.5.
+func (l *LogisticRegression) PredictProba(X [][]float64) ([]int, []float64) {
 	p := l.Proba(X)
-	out := make([]int, len(p))
-	for i, v := range p {
-		if v > 0.5 {
-			out[i] = 1
-		}
-	}
-	return out
+	return thresholdScores(p, 0.5), p
 }
 
 // Proba returns P(y=1|x) per row. Rows split across the worker pool;

@@ -37,6 +37,69 @@ type ProbClassifier interface {
 	Proba(X [][]float64) []float64
 }
 
+// PredictProber is a ProbClassifier whose verdicts and class-1 scores
+// come out of one scoring pass. Models with their own scoring loop
+// derive Predict and Proba from PredictProba; wrappers forward it to
+// the model they wrap. Either way a caller that needs both (the train
+// op in test mode, the swap handle under a shadow) scores X once.
+type PredictProber interface {
+	ProbClassifier
+	// PredictProba returns one label per row of X and the class-1 score
+	// per row, exactly what Predict and Proba would return.
+	PredictProba(X [][]float64) ([]int, []float64)
+}
+
+// PredictProba returns c's verdicts and class-1 scores for X, in one
+// scoring pass when c implements PredictProber and through Predict then
+// Proba otherwise. Scores are nil when c is not a ProbClassifier.
+func PredictProba(c Classifier, X [][]float64) ([]int, []float64) {
+	switch m := c.(type) {
+	case PredictProber:
+		return m.PredictProba(X)
+	case ProbClassifier:
+		return m.Predict(X), m.Proba(X)
+	}
+	return c.Predict(X), nil
+}
+
+// probaOrLabels is Proba for wrappers that always report scores: when c
+// has none, its hard labels stand in as 0/1 scores.
+func probaOrLabels(c Classifier, X [][]float64) []float64 {
+	if pc, ok := c.(ProbClassifier); ok {
+		return pc.Proba(X)
+	}
+	return labelScores(c.Predict(X))
+}
+
+// predictProbaOrLabels is the PredictProba counterpart of probaOrLabels.
+func predictProbaOrLabels(c Classifier, X [][]float64) ([]int, []float64) {
+	pred, proba := PredictProba(c, X)
+	if _, ok := c.(ProbClassifier); !ok {
+		proba = labelScores(pred)
+	}
+	return pred, proba
+}
+
+// thresholdScores labels 1 every score strictly above thr.
+func thresholdScores(scores []float64, thr float64) []int {
+	out := make([]int, len(scores))
+	for i, s := range scores {
+		if s > thr {
+			out[i] = 1
+		}
+	}
+	return out
+}
+
+// labelScores renders hard labels as 0/1 scores.
+func labelScores(pred []int) []float64 {
+	out := make([]float64, len(pred))
+	for i, v := range pred {
+		out[i] = float64(v)
+	}
+	return out
+}
+
 // Detector is an unsupervised anomaly detector. Fit learns a model of
 // "normal" data; Score returns a value per row where higher means more
 // anomalous.
@@ -86,33 +149,32 @@ func (t *Thresholded) Fit(X [][]float64, y []int) error {
 
 // Predict classifies rows whose anomaly score exceeds the threshold as 1.
 func (t *Thresholded) Predict(X [][]float64) []int {
-	scores := t.Detector.Score(X)
-	out := make([]int, len(scores))
-	for i, s := range scores {
-		if s > t.Threshold {
-			out[i] = 1
-		}
-	}
-	return out
+	pred, _ := t.PredictProba(X)
+	return pred
 }
 
 // Proba maps scores monotonically into [0,1] via score/(score+threshold),
 // which preserves AUC ordering.
 func (t *Thresholded) Proba(X [][]float64) []float64 {
+	_, proba := t.PredictProba(X)
+	return proba
+}
+
+// PredictProba scores X once and derives both the verdicts (score
+// strictly above the threshold) and the [0,1] scores from it.
+func (t *Thresholded) PredictProba(X [][]float64) ([]int, []float64) {
 	scores := t.Detector.Score(X)
-	out := make([]float64, len(scores))
+	pred := thresholdScores(scores, t.Threshold)
+	proba := make([]float64, len(scores))
 	for i, s := range scores {
 		if s < 0 {
 			s = 0
 		}
-		d := s + t.Threshold
-		if d <= 0 {
-			out[i] = 0
-			continue
+		if d := s + t.Threshold; d > 0 {
+			proba[i] = s / d
 		}
-		out[i] = s / d
 	}
-	return out
+	return pred, proba
 }
 
 // ErrNoData is returned by Fit when the training matrix is empty.

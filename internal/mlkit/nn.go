@@ -589,27 +589,26 @@ func (c *MLPClassifier) Fit(X [][]float64, y []int) error {
 // Predict thresholds the output unit; a never-fitted classifier
 // predicts all-benign.
 func (c *MLPClassifier) Predict(X [][]float64) []int {
+	pred, _ := c.PredictProba(X)
+	return pred
+}
+
+// Proba returns the raw output unit per row; all-zero before any fit.
+func (c *MLPClassifier) Proba(X [][]float64) []float64 {
+	_, proba := c.PredictProba(X)
+	return proba
+}
+
+// PredictProba runs X forward once and reports the thresholded and the
+// raw output unit per row.
+func (c *MLPClassifier) PredictProba(X [][]float64) ([]int, []float64) {
 	if c.net == nil {
-		return make([]int, len(X))
+		return make([]int, len(X)), make([]float64, len(X))
 	}
 	thr := c.Threshold
 	if thr == 0 {
 		thr = 0.5
 	}
 	p := c.net.Predict01(X)
-	out := make([]int, len(p))
-	for i, v := range p {
-		if v > thr {
-			out[i] = 1
-		}
-	}
-	return out
-}
-
-// Proba returns the raw output unit per row; all-zero before any fit.
-func (c *MLPClassifier) Proba(X [][]float64) []float64 {
-	if c.net == nil {
-		return make([]float64, len(X))
-	}
-	return c.net.Predict01(X)
+	return thresholdScores(p, thr), p
 }

@@ -470,15 +470,16 @@ func (r *ReservoirRetrainer) Proba(X [][]float64) []float64 {
 	if !r.fitted {
 		return make([]float64, len(X))
 	}
-	if pc, ok := r.Model.(ProbClassifier); ok {
-		return pc.Proba(X)
+	return probaOrLabels(r.Model, X)
+}
+
+// PredictProba delegates to the wrapped model's single scoring pass;
+// all-benign with all-zero scores before the first retrain.
+func (r *ReservoirRetrainer) PredictProba(X [][]float64) ([]int, []float64) {
+	if !r.fitted {
+		return make([]int, len(X)), make([]float64, len(X))
 	}
-	pred := r.Model.Predict(X)
-	out := make([]float64, len(pred))
-	for i, v := range pred {
-		out[i] = float64(v)
-	}
-	return out
+	return predictProbaOrLabels(r.Model, X)
 }
 
 // --- capability probes ----------------------------------------------------

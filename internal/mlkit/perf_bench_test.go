@@ -7,7 +7,8 @@ import (
 
 // Micro-benchmarks for the numeric hot paths the benchsuite spends its
 // wall time in: neural-net training (MLP/autoencoder, and through them
-// KitNET), KNN prediction, GMM scoring and the Nyström feature map.
+// KitNET), KNN prediction, GMM scoring and the Nyström feature map, plus
+// the test-mode scoring of the daemon's models (forest, KitNET).
 // `make bench` runs these with a fixed -benchtime and records the
 // results in BENCH_PR3.json so speedups are tracked across PRs.
 
@@ -118,6 +119,54 @@ func BenchmarkKitNETFit(b *testing.B) {
 		if err := k.Fit(X); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchForest fits the replay workload's model shape: a 50-tree forest
+// over 27 per-packet fields.
+func benchForest(b *testing.B) (*RandomForest, [][]float64) {
+	X := benchMatrix(2048, 27, 11)
+	f := &RandomForest{NTrees: 50, Seed: 1}
+	if err := f.Fit(X, benchLabels(X)); err != nil {
+		b.Fatal(err)
+	}
+	return f, benchMatrix(512, 27, 12)
+}
+
+// BenchmarkForestScoreSplit is the former test-mode call pattern: Predict
+// then Proba, two walks of every tree.
+func BenchmarkForestScoreSplit(b *testing.B) {
+	f, Q := benchForest(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = f.Predict(Q)
+		_ = f.Proba(Q)
+	}
+}
+
+// BenchmarkForestScoreFused is the single PredictProba pass that test
+// mode makes now.
+func BenchmarkForestScoreFused(b *testing.B) {
+	f, Q := benchForest(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = f.PredictProba(Q)
+	}
+}
+
+func BenchmarkKitNETScore(b *testing.B) {
+	X := benchMatrix(512, 64, 13)
+	k := &KitNET{Epochs: 1, Seed: 1}
+	if err := k.Fit(X); err != nil {
+		b.Fatal(err)
+	}
+	Q := benchMatrix(512, 64, 14)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = k.Score(Q)
 	}
 }
 

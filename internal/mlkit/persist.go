@@ -42,12 +42,34 @@ func (t *DecisionTree) dto() treeDTO {
 	return out
 }
 
-func (t *DecisionTree) fromDTO(d treeDTO) {
+// fromDTO restores a tree after checking that walking it terminates
+// without indexing out of range. grow emits nodes in preorder, so every
+// fitted tree's children sit strictly after their parent: requiring
+// i < left, right < len(nodes) rules out both dangling links and cycles.
+// Leaves (feature -1) must carry one probability per class, and a
+// fitted tree has at least its root.
+func (t *DecisionTree) fromDTO(d treeDTO) error {
+	if len(d.Nodes) == 0 {
+		return fmt.Errorf("tree has no nodes")
+	}
+	for i, n := range d.Nodes {
+		switch {
+		case n.Feature == -1:
+			if len(n.Proba) != d.Classes {
+				return fmt.Errorf("tree node %d: leaf has %d class probabilities, want %d", i, len(n.Proba), d.Classes)
+			}
+		case n.Feature < -1:
+			return fmt.Errorf("tree node %d: invalid feature index %d", i, n.Feature)
+		case int(n.Left) <= i || int(n.Right) <= i || int(n.Left) >= len(d.Nodes) || int(n.Right) >= len(d.Nodes):
+			return fmt.Errorf("tree node %d: children %d/%d must lie in (%d, %d)", i, n.Left, n.Right, i, len(d.Nodes))
+		}
+	}
 	t.classes = d.Classes
 	t.nodes = make([]treeNode, len(d.Nodes))
 	for i, n := range d.Nodes {
 		t.nodes[i] = treeNode{feature: n.Feature, threshold: n.Threshold, left: n.Left, right: n.Right, proba: n.Proba}
 	}
+	return nil
 }
 
 // forestDTO serializes a fitted RandomForest.
@@ -119,7 +141,9 @@ func UnmarshalModel(data []byte) (Classifier, error) {
 			return nil, err
 		}
 		t := &DecisionTree{}
-		t.fromDTO(dto)
+		if err := t.fromDTO(dto); err != nil {
+			return nil, fmt.Errorf("mlkit: UnmarshalModel: %w", err)
+		}
 		return t, nil
 	case "random_forest":
 		var dto forestDTO
@@ -127,9 +151,14 @@ func UnmarshalModel(data []byte) (Classifier, error) {
 			return nil, err
 		}
 		f := &RandomForest{classes: dto.Classes, NTrees: len(dto.Trees)}
-		for _, td := range dto.Trees {
+		for i, td := range dto.Trees {
+			if td.Classes != dto.Classes {
+				return nil, fmt.Errorf("mlkit: UnmarshalModel: forest tree %d has %d classes, forest has %d", i, td.Classes, dto.Classes)
+			}
 			t := &DecisionTree{}
-			t.fromDTO(td)
+			if err := t.fromDTO(td); err != nil {
+				return nil, fmt.Errorf("mlkit: UnmarshalModel: forest tree %d: %w", i, err)
+			}
 			f.trees = append(f.trees, t)
 		}
 		return f, nil

@@ -113,3 +113,55 @@ func TestPersistRejectsUnsupported(t *testing.T) {
 		t.Error("garbage should fail")
 	}
 }
+
+// TestUnmarshalRejectsMalformedTrees pins the load-time structure check:
+// a tree whose walk would index past the node table or never reach a
+// leaf must be refused at the boundary instead of panicking or hanging
+// the first Predict.
+func TestUnmarshalRejectsMalformedTrees(t *testing.T) {
+	cases := map[string]string{
+		"child out of range": `{"version":1,"type":"decision_tree","data":{"classes":2,"nodes":[{"f":0,"l":7,"r":9}]}}`,
+		"self loop":          `{"version":1,"type":"decision_tree","data":{"classes":2,"nodes":[{"f":0,"l":0,"r":0}]}}`,
+		"back edge":          `{"version":1,"type":"decision_tree","data":{"classes":2,"nodes":[{"f":0,"l":1,"r":2},{"f":-1,"p":[1,0]},{"f":1,"l":0,"r":1}]}}`,
+		"negative child":     `{"version":1,"type":"decision_tree","data":{"classes":2,"nodes":[{"f":0,"l":-1,"r":1},{"f":-1,"p":[1,0]}]}}`,
+		"bad feature":        `{"version":1,"type":"decision_tree","data":{"classes":2,"nodes":[{"f":-2,"l":1,"r":2},{"f":-1,"p":[1,0]},{"f":-1,"p":[0,1]}]}}`,
+		"short leaf":         `{"version":1,"type":"decision_tree","data":{"classes":2,"nodes":[{"f":-1,"p":[1]}]}}`,
+		"forest bad tree":    `{"version":1,"type":"random_forest","data":{"classes":2,"trees":[{"classes":2,"nodes":[{"f":0,"l":0,"r":0}]}]}}`,
+		"empty tree":         `{"version":1,"type":"decision_tree","data":{"classes":2,"nodes":[]}}`,
+		"forest class width": `{"version":1,"type":"random_forest","data":{"classes":2,"trees":[{"classes":3,"nodes":[{"f":-1,"p":[1,0,0]}]}]}}`,
+	}
+	for name, js := range cases {
+		if c, err := UnmarshalModel([]byte(js)); err == nil {
+			t.Errorf("%s: UnmarshalModel accepted a malformed model (%T)", name, c)
+		}
+	}
+	ok := `{"version":1,"type":"random_forest","data":{"classes":2,"trees":[{"classes":2,"nodes":[{"f":0,"t":0.5,"l":1,"r":2},{"f":-1,"p":[1,0]},{"f":-1,"p":[0,1]}]}]}}`
+	c, err := UnmarshalModel([]byte(ok))
+	if err != nil {
+		t.Fatalf("well-formed forest refused: %v", err)
+	}
+	if got := c.Predict([][]float64{{0}, {1}}); got[0] != 0 || got[1] != 1 {
+		t.Fatalf("well-formed forest predicts %v, want [0 1]", got)
+	}
+}
+
+// TestPersistForestMissingClassInBootstrap checks that a multi-class
+// forest whose trees' bootstraps missed the highest label still round
+// trips: every tree carries the forest's class width.
+func TestPersistForestMissingClassInBootstrap(t *testing.T) {
+	X, y := blobs(200, 3, 2, 409)
+	// One lone row of class 2: most bootstraps will miss it.
+	X = append(X, []float64{50, 50, 50})
+	y = append(y, 2)
+	f := &RandomForest{NTrees: 20, Seed: 3}
+	if err := f.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range f.trees {
+		if tr.classes != f.classes {
+			t.Fatalf("tree %d has %d classes, forest %d", i, tr.classes, f.classes)
+		}
+	}
+	loaded := roundTrip(t, f)
+	assertSamePredictions(t, f, loaded, X)
+}

@@ -33,16 +33,13 @@ func (p *Pipeline) Predict(X [][]float64) []int {
 
 // Proba applies the transformers and delegates when supported.
 func (p *Pipeline) Proba(X [][]float64) []float64 {
-	cur := p.transform(X)
-	if pc, ok := p.Model.(ProbClassifier); ok {
-		return pc.Proba(cur)
-	}
-	pred := p.Model.Predict(cur)
-	out := make([]float64, len(pred))
-	for i, v := range pred {
-		out[i] = float64(v)
-	}
-	return out
+	return probaOrLabels(p.Model, p.transform(X))
+}
+
+// PredictProba transforms X once and scores it with the model in one
+// pass.
+func (p *Pipeline) PredictProba(X [][]float64) ([]int, []float64) {
+	return predictProbaOrLabels(p.Model, p.transform(X))
 }
 
 func (p *Pipeline) transform(X [][]float64) [][]float64 {

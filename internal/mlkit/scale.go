@@ -102,9 +102,17 @@ func (s *MinMaxScaler) Fit(X [][]float64) error {
 // Transform returns a scaled copy of X; values outside the training range
 // are clamped to [0,1].
 func (s *MinMaxScaler) Transform(X [][]float64) [][]float64 {
+	// Rows are capped views into one backing array rather than one
+	// allocation each.
 	out := make([][]float64, len(X))
+	var flat []float64
+	if len(X) > 0 {
+		flat = make([]float64, 0, len(X)*len(X[0]))
+	}
 	for i, row := range X {
-		r := make([]float64, len(row))
+		off := len(flat)
+		flat = append(flat, make([]float64, len(row))...)
+		r := flat[off:len(flat):len(flat)]
 		for j, v := range row {
 			span := s.Max[j] - s.Min[j]
 			if span <= 0 {

@@ -110,22 +110,23 @@ func (s *LinearSVM) Decision(X [][]float64) []float64 {
 
 // Predict returns 1 where the margin is positive.
 func (s *LinearSVM) Predict(X [][]float64) []int {
-	dec := s.Decision(X)
-	out := make([]int, len(dec))
-	for i, m := range dec {
-		if m > 0 {
-			out[i] = 1
-		}
-	}
-	return out
+	pred, _ := s.PredictProba(X)
+	return pred
 }
 
 // Proba squashes margins through a calibrated logistic.
 func (s *LinearSVM) Proba(X [][]float64) []float64 {
+	_, proba := s.PredictProba(X)
+	return proba
+}
+
+// PredictProba computes each row's margin once and reports its sign and
+// its calibrated logistic score.
+func (s *LinearSVM) PredictProba(X [][]float64) ([]int, []float64) {
 	dec := s.Decision(X)
-	out := make([]float64, len(dec))
+	pred := thresholdScores(dec, 0)
 	for i, m := range dec {
-		out[i] = 1 / (1 + math.Exp(-m*s.scale))
+		dec[i] = 1 / (1 + math.Exp(-m*s.scale))
 	}
-	return out
+	return pred, dec
 }

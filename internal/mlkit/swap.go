@@ -12,8 +12,8 @@ import (
 // drift. One instance covers one shadow phase; Promote and Rollback
 // return the final tally and reset it.
 type SwapStats struct {
-	// Chunks counts the Predict calls (one per streamed chunk) observed
-	// while the shadow was attached.
+	// Chunks counts the scoring calls (Predict or PredictProba, one per
+	// streamed chunk) observed while the shadow was attached.
 	Chunks int
 	// Rows counts the scored feature rows.
 	Rows int
@@ -57,9 +57,9 @@ func (s SwapStats) String() string {
 // and the pipeline keeps scoring through the handle while the model
 // behind it is retargeted:
 //
-//	StartShadow(next)  attach a candidate; every Predict now also scores
-//	                   it and accumulates divergence, while verdicts keep
-//	                   coming from the active model only
+//	StartShadow(next)  attach a candidate; every Predict/PredictProba now
+//	                   also scores it and accumulates divergence, while
+//	                   verdicts keep coming from the active model only
 //	Promote()          the candidate becomes active (generation += 1)
 //	Rollback()         the candidate is discarded (generation unchanged)
 //
@@ -94,39 +94,44 @@ func (h *SwapHandle) Fit(X [][]float64, y []int) error {
 // handle's SwapStats — the returned verdicts always come from the active
 // model alone.
 func (h *SwapHandle) Predict(X [][]float64) []int {
+	pred, _ := h.PredictProba(X)
+	return pred
+}
+
+// PredictProba is Predict that also returns the active model's class-1
+// scores (nil when it exposes none). The active model and, while a
+// shadow is attached, the candidate each score X exactly once; the
+// divergence tally is the same Predict keeps.
+func (h *SwapHandle) PredictProba(X [][]float64) ([]int, []float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	preds := h.active.Predict(X)
-	if h.shadow == nil || len(X) == 0 {
-		if h.shadow != nil {
-			h.stats.Chunks++
-		}
-		return preds
+	preds, scores := PredictProba(h.active, X)
+	if h.shadow == nil {
+		return preds, scores
 	}
-	sp := h.shadow.Predict(X)
 	h.stats.Chunks++
+	if len(X) == 0 {
+		return preds, scores
+	}
+	sp, ss := PredictProba(h.shadow, X)
 	h.stats.Rows += len(preds)
 	for i := range preds {
 		if i < len(sp) && preds[i] != sp[i] {
 			h.stats.Disagree++
 		}
 	}
-	pa, okA := h.active.(ProbClassifier)
-	pb, okB := h.shadow.(ProbClassifier)
-	if okA && okB {
-		sa, sb := pa.Proba(X), pb.Proba(X)
-		for i := range sa {
-			if i < len(sb) {
-				h.stats.ScoreRows++
-				h.stats.AbsScoreSum += math.Abs(sa[i] - sb[i])
-			}
+	for i := range scores {
+		if i < len(ss) {
+			h.stats.ScoreRows++
+			h.stats.AbsScoreSum += math.Abs(scores[i] - ss[i])
 		}
 	}
-	return preds
+	return preds, scores
 }
 
 // Proba returns the active model's class-1 scores, or nil when the
-// active model exposes none.
+// active model exposes none. It scores the active model only and leaves
+// the divergence tally alone.
 func (h *SwapHandle) Proba(X [][]float64) []float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()

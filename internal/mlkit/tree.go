@@ -18,6 +18,10 @@ type DecisionTree struct {
 	nodes   []treeNode
 	classes int
 	rng     *RNG
+	// minClasses widens the class count past the labels seen in y: a
+	// forest sets it so trees whose bootstrap missed the highest label
+	// still carry the forest's full leaf distribution.
+	minClasses int
 }
 
 type treeNode struct {
@@ -41,9 +45,7 @@ func (t *DecisionTree) Fit(X [][]float64, y []int) error {
 			t.classes = label + 1
 		}
 	}
-	if t.classes < 2 {
-		t.classes = 2
-	}
+	t.classes = max(t.classes, 2, t.minClasses)
 	t.rng = NewRNG(t.Seed)
 	t.nodes = t.nodes[:0]
 	idx := make([]int, len(X))
@@ -200,33 +202,29 @@ func giniFromCounts(counts []float64, n float64) float64 {
 
 // Predict returns the majority class at each row's leaf.
 func (t *DecisionTree) Predict(X [][]float64) []int {
-	out := make([]int, len(X))
-	for i, row := range X {
-		p := t.leafProba(row)
-		out[i] = ArgMax(p)
-	}
-	return out
+	pred, _ := t.PredictProba(X)
+	return pred
 }
 
 // Proba returns the positive-class (label 1) leaf fraction per row.
 func (t *DecisionTree) Proba(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	for i, row := range X {
-		p := t.leafProba(row)
-		if len(p) > 1 {
-			out[i] = p[1]
-		}
-	}
-	return out
+	_, proba := t.PredictProba(X)
+	return proba
 }
 
-// ClassProba returns the full class distribution at each row's leaf.
-func (t *DecisionTree) ClassProba(X [][]float64) [][]float64 {
-	out := make([][]float64, len(X))
+// PredictProba walks each row to its leaf once and reports the leaf's
+// majority class and positive-class fraction.
+func (t *DecisionTree) PredictProba(X [][]float64) ([]int, []float64) {
+	pred := make([]int, len(X))
+	proba := make([]float64, len(X))
 	for i, row := range X {
-		out[i] = t.leafProba(row)
+		p := t.leafProba(row)
+		pred[i] = ArgMax(p)
+		if len(p) > 1 {
+			proba[i] = p[1]
+		}
 	}
-	return out
+	return pred, proba
 }
 
 func (t *DecisionTree) leafProba(row []float64) []float64 {
